@@ -90,7 +90,6 @@ from .fingerprint import (
     StateIndex,
     canonical_bytes,
     fingerprint,
-    fingerprint_components,
     shard_of,
 )
 from .parallel import WorkerPool, fork_available
@@ -170,7 +169,6 @@ __all__ = [
     "discard_checkpoint",
     "find_checkpoint",
     "fingerprint",
-    "fingerprint_components",
     "fork_available",
     "list_checkpoints",
     "load_checkpoint",

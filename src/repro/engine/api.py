@@ -90,7 +90,7 @@ from .checkpoint import (
     save_segment,
     segment_dir,
 )
-from .codec import Codec, digest_of_packed
+from .codec import Codec, CodecError, digest_of_packed, repr_fallbacks
 from .errors import EngineError
 from .fingerprint import DIGEST_SIZE, FingerprintIndex, StateIndex
 from .parallel import PRUNED, QUARANTINED, WorkerPool
@@ -105,9 +105,10 @@ from .store import (
 #: Sequential deadline checks happen every this many expansions.
 _DEADLINE_STRIDE = 512
 
-#: Store-mode cap on the view's decoded-state transition memo (entries).
-#: Each entry pins a full decoded state, so the cap — not the store —
-#: decides the coordinator's working-set RSS between flushes.
+#: Store-mode cap on the view's decoded-state transition memo (entries),
+#: and on the sequential driver's decoded frontier window.  Each entry
+#: pins a full decoded state, so the cap — not the store — decides the
+#: coordinator's working-set RSS between flushes.
 STEP_CACHE_LIMIT = 20_000
 
 #: Store-mode cap on the codec's interning caches (combined entries).
@@ -1139,11 +1140,14 @@ class ExplorationEngine:
     # -- store-backed (digest-native) drivers ---------------------------------
     #
     # These mirror _drive_sequential/_drive_parallel with one structural
-    # difference: no decoded state outlives its own expansion.  The
-    # frontier, visited set, and edges live in the StateStore keyed by
-    # digest; a state is decoded exactly when it is expanded (or, in
-    # parallel runs, inside a worker) and dropped immediately after, so
-    # RSS is bounded by the frontier window instead of the state count.
+    # difference: the frontier, visited set, and edges live in the
+    # StateStore keyed by digest, so RSS is bounded by a window instead
+    # of the state count.  The sequential driver keeps the objects of
+    # queued novel successors, up to STEP_CACHE_LIMIT at a time (the
+    # decoded frontier window), and decodes a popped digest only when it
+    # is not there: the root, a resume, a re-queued head, or a successor
+    # queued while the window was full.  Parallel runs decode inside a
+    # worker.
     # Discovery still happens in exact frontier order — same BFS, same
     # graph.
 
@@ -1158,8 +1162,10 @@ class ExplorationEngine:
         deadline_enabled = run.deadline.enabled
         polling = deadline_enabled or cancel is not None
         timing = run.metrics.enabled
+        phase = run.phase
         progress = self.progress
         handle = self.run_handle
+        window: dict[bytes, Hashable] = {}
         while store.frontier_len():
             if polling and run.expanded % _DEADLINE_STRIDE == 0:
                 if cancel is not None and cancel():
@@ -1179,23 +1185,38 @@ class ExplorationEngine:
             if handle is not None and run.expanded % 256 == 0:
                 self._heartbeat(run)
             digest = store.pop()
-            state = codec.decode(store.get(digest))
+            state = window.pop(digest, None)
+            if state is None:
+                state = codec.decode(store.get(digest))
             if prune is not None and prune(state):
                 self._commit_external_empty(run, digest)
             else:
                 if timing:
                     before = time.perf_counter()
                     out = view.successors(state)
-                    run.phase["expand_seconds"] = run.phase.get(
-                        "expand_seconds", 0.0
-                    ) + (time.perf_counter() - before)
+                    encoding = time.perf_counter()
+                    phase["expand_seconds"] = phase.get("expand_seconds", 0.0) + (
+                        encoding - before
+                    )
                 else:
                     out = view.successors(state)
+                fallbacks = repr_fallbacks()
                 rows = []
                 for task, action, successor in out:
                     packed, succ_digest = codec.encode_digest(successor)
                     rows.append((task_slot[task], action, succ_digest, packed))
-                self._commit_external(run, digest, rows)
+                if timing:
+                    phase["fingerprint_seconds"] = phase.get(
+                        "fingerprint_seconds", 0.0
+                    ) + (time.perf_counter() - encoding)
+                if repr_fallbacks() != fallbacks:
+                    raise CodecError(
+                        f"a successor of state {digest.hex()} contains a "
+                        "repr-encoded component; repr encoding is hash-only, "
+                        "so a store could never decode it — give the type a "
+                        "dataclass/enum form or explore without a store"
+                    )
+                self._commit_external(run, digest, rows, window, out)
             self._maybe_checkpoint(run)
 
     def _drive_store_parallel(self, run: _Run) -> None:
@@ -1321,10 +1342,16 @@ class ExplorationEngine:
         if run.tracing:
             run.tracer.emit(STATE_EXPLORED, edges=0, pruned=True)
 
-    def _commit_external(self, run: _Run, digest: bytes, out) -> None:
+    def _commit_external(
+        self, run: _Run, digest: bytes, out, window=None, successors=()
+    ) -> None:
         """The store-backed merge step: discover successors, log the expansion.
 
         ``out`` rows are ``(task_slot, action, succ_digest, packed)``.
+        With a ``window`` (the sequential driver's decoded frontier),
+        each novel successor's object — ``successors[i][2]`` for row
+        ``i`` — is kept there too while it holds fewer than
+        ``STEP_CACHE_LIMIT`` entries.
         Budget breaches leave the identical checkpoint-consistent shape
         the classic :meth:`_commit` documents: the offending state back
         at the frontier's head (expansion record withheld) with any
@@ -1341,13 +1368,15 @@ class ExplorationEngine:
             raise _Exhausted("transitions", budget.max_transitions)
         intern_action = run.action_intern
         rows = []
-        for task_slot, action, succ_digest, packed in out:
+        for position, (task_slot, action, succ_digest, packed) in enumerate(out):
             if succ_digest not in store:
                 if budget.max_states is not None and len(store) >= budget.max_states:
                     store.push_front(digest)
                     raise _Exhausted("states", budget.max_states)
                 store.add(succ_digest, packed)
                 store.push(succ_digest)
+                if window is not None and len(window) < STEP_CACHE_LIMIT:
+                    window[succ_digest] = successors[position][2]
             rows.append(
                 (
                     task_slot,

@@ -29,7 +29,14 @@ design:
   object per distinct component value).  The caches never change the
   bytes: interning is an encode/decode-time optimization, and the
   packed form stays flat and self-contained, byte-identical across
-  processes and interpreter restarts.
+  processes and interpreter restarts.  The per-type work is interned
+  too: the first encode of a dataclass type builds its *plan* — the
+  pre-encoded ``D + qualname + field count`` header and the tuple of
+  field names — and every later instance is the header plus its field
+  values, found by one ``type(value)`` lookup; decoding caches each
+  registered class's field count the same way.  Both caches are keyed
+  by the class object, so a class redefined under the same qualname
+  never inherits another class's plan.
 
 Dataclasses and enums encode by qualname (plus field values / member
 name), so decoding needs the class object.  The codec keeps a process
@@ -39,9 +46,10 @@ checkpoints persist the classes they used (by reference) so a fresh
 process can resume.  Decoding an unregistered qualname raises
 :class:`CodecError` naming :func:`register_codec_type` — it never
 guesses.  The one lossy encoding is the ``repr`` fallback for exotic
-component types; packed bytes containing it raise on decode, and the
+component types; packed bytes containing it raise on decode, the
 engine's checkpoint writer falls back to whole-object pickling for such
-states.
+states, and the store-backed sequential driver refuses them when it
+discovers them (:func:`repr_fallbacks` counts every use).
 """
 
 from __future__ import annotations
@@ -136,6 +144,25 @@ def registered_codec_types() -> dict[str, type]:
 # ---------------------------------------------------------------------------
 
 
+#: Values encoded through the ``repr`` fallback so far (see
+#: :func:`repr_fallbacks`); only ever incremented.
+_repr_fallbacks = 0
+
+#: Per-type dataclass plans: ``type -> (header, field names)``, where the
+#: header is the pre-encoded ``D + qualname + field count`` prefix every
+#: instance of the type starts with.  Keyed by the class object, so a
+#: class redefined under the same qualname builds its own plan.
+_PLANS: dict[type, tuple[bytes, tuple[str, ...]]] = {}
+
+
+def _plan(cls: type) -> tuple[bytes, tuple[str, ...]]:
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    header = bytearray(_DATACLASS)
+    _encode(cls.__qualname__, header)
+    header += len(names).to_bytes(4, "big")
+    return bytes(header), names
+
+
 def _encode(value: Any, out: bytearray) -> None:
     if value is None:
         out += _NONE
@@ -168,6 +195,12 @@ def _encode(value: Any, out: bytearray) -> None:
         out += len(value).to_bytes(4, "big")
         out += bytes(value)
         return
+    plan = _PLANS.get(kind)
+    if plan is not None:
+        out += plan[0]
+        for name in plan[1]:
+            _encode(getattr(value, name), out)
+        return
     if isinstance(value, tuple) or kind is list:
         out += _TUPLE
         out += len(value).to_bytes(4, "big")
@@ -190,13 +223,9 @@ def _encode(value: Any, out: bytearray) -> None:
         _encode(value.name, out)
         return
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        _TYPE_REGISTRY.setdefault(type(value).__qualname__, type(value))
-        out += _DATACLASS
-        _encode(type(value).__qualname__, out)
-        fields = dataclasses.fields(value)
-        out += len(fields).to_bytes(4, "big")
-        for field in fields:
-            _encode(getattr(value, field.name), out)
+        _TYPE_REGISTRY.setdefault(kind.__qualname__, kind)
+        _PLANS[kind] = _plan(kind)
+        _encode(value, out)  # now served by the plan
         return
     if isinstance(value, dict):
         entries = sorted(
@@ -212,10 +241,23 @@ def _encode(value: Any, out: bytearray) -> None:
     # Fallback for exotic state components: the repr must itself be
     # canonical for the digest to be (documented contract; audit mode
     # will catch violations as collisions or misses).  Not decodable.
+    global _repr_fallbacks
+    _repr_fallbacks += 1
     payload = repr(value).encode("utf-8")
     out += _REPR
     out += len(payload).to_bytes(4, "big")
     out += payload
+
+
+def repr_fallbacks() -> int:
+    """How many values this process has encoded via the ``repr`` fallback.
+
+    Such bytes hash fine but can never be decoded, so a caller about to
+    keep packed bytes compares this count before and after encoding and
+    refuses the bytes if it moved.  The component cache never holds
+    fallback bytes, so a cached encode cannot hide one.
+    """
+    return _repr_fallbacks
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -240,6 +282,11 @@ def digest_of_packed(packed: bytes, digest_size: int = DIGEST_SIZE) -> bytes:
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
+
+
+#: Field counts of the registered dataclasses decoding has met, keyed by
+#: the class object (not its qualname), like the encode plans.
+_FIELD_COUNTS: dict[type, int] = {}
 
 
 def _read_length(data: bytes, offset: int) -> tuple[int, int]:
@@ -319,10 +366,13 @@ def _decode(data: bytes, offset: int) -> tuple[Any, int]:
                 f"packed value contains unregistered dataclass {qualname!r}; "
                 "call repro.engine.register_codec_type on it first"
             )
-        if len(dataclasses.fields(cls)) != count:
+        expected = _FIELD_COUNTS.get(cls)
+        if expected is None:
+            expected = _FIELD_COUNTS[cls] = len(dataclasses.fields(cls))
+        if expected != count:
             raise CodecError(
                 f"packed {qualname} has {count} fields, the registered class "
-                f"has {len(dataclasses.fields(cls))} (stale class version?)"
+                f"has {expected} (stale class version?)"
             )
         return cls(*values), offset
     if tag == _T_ENUM:
@@ -408,7 +458,12 @@ def _cached_bytes(cache: dict, component: Any) -> tuple[bytes, bool]:
         cache[key] = encoded
         cache[id(component)] = (component, encoded)
         return encoded, False
+    fallbacks = _repr_fallbacks
     encoded = canonical_bytes(component)
+    if _repr_fallbacks != fallbacks:
+        # Hash-only bytes: re-encoding them every time keeps each use
+        # visible to repr_fallbacks().
+        return encoded, False
     try:
         hash(component)
     except TypeError:

@@ -43,18 +43,10 @@ from typing import Any, Hashable, Iterable
 
 from .codec import (  # noqa: F401  (canonical_bytes re-exported for compat)
     DIGEST_SIZE,
-    _TUPLE,
     Codec,
-    _cached_bytes,
     canonical_bytes,
     digest_of_packed,
 )
-
-try:  # pragma: no cover - blake2b is part of CPython's hashlib
-    from hashlib import blake2b
-except ImportError:  # pragma: no cover - exotic builds only
-    blake2b = None
-    from hashlib import sha256
 
 
 class FingerprintCollision(RuntimeError):
@@ -64,37 +56,6 @@ class FingerprintCollision(RuntimeError):
 def fingerprint(value: Any, digest_size: int = DIGEST_SIZE) -> bytes:
     """The ``digest_size``-byte canonical digest of ``value``."""
     return digest_of_packed(canonical_bytes(value), digest_size)
-
-
-def fingerprint_components(
-    state: Any, cache: dict, digest_size: int = DIGEST_SIZE
-) -> bytes:
-    """:func:`fingerprint` of a tuple state via a per-component cache.
-
-    Bit-identical to ``fingerprint(state, digest_size)``: the tuple
-    encoding is tag + length + concatenated component encodings, so the
-    digest can be assembled from cached ``canonical_bytes`` of the
-    components.  Composite states share component states massively
-    (expanding one transition changes one or two components), which
-    makes the amortized encoding cost near zero on the engine's hot
-    path.  Non-tuple states fall back to plain :func:`fingerprint`.
-
-    :class:`repro.engine.codec.Codec` is the stateful form of this
-    helper (it owns the cache, counts hits, and also produces the packed
-    bytes); this function remains for callers that manage their own
-    cache dict.  Treat that dict as opaque: it is strictly keyed (never
-    by plain ``==``, which would conflate ``True``/``1``-style values
-    whose canonical encodings differ — see
-    :func:`repro.engine.codec._cached_bytes`).
-    """
-    if type(state) is not tuple:
-        return fingerprint(state, digest_size)
-    out = bytearray()
-    out += _TUPLE
-    out += len(state).to_bytes(4, "big")
-    for component in state:
-        out += _cached_bytes(cache, component)[0]
-    return digest_of_packed(bytes(out), digest_size)
 
 
 def shard_of(digest: bytes, shards: int) -> int:

@@ -85,10 +85,105 @@ class TestDigestParity:
         assert digest == digest_of_packed(packed)
 
     def test_cached_digest_matches_uncached(self):
+        states = [
+            (Point(1, 2), "phase", (1, 2, 3)),
+            ((1, 2), {"k": (3,)}, None),
+            (),
+            "scalar",
+            # Regression: an ==-keyed cache made (1, ...) digest as
+            # (True, ...) once the bool had been cached first.
+            (True, "x"),
+            (1, "x"),
+            (1.0, "x"),
+            ((False,), "y"),
+            ((0,), "y"),
+        ]
         codec = Codec()
-        state = (Point(1, 2), "phase", (1, 2, 3))
-        first = codec.digest(state)  # populates the component cache
-        assert codec.digest(state) == first == fingerprint(state)
+        digests = [codec.digest(state) for state in states]  # fills the cache
+        assert [codec.digest(state) for state in states] == digests
+        assert digests == [fingerprint(state) for state in states]
+        assert len(set(digests)) == len(states)
+
+    def test_pinned_digest(self):
+        """The canonical bytes are a format: this digest must never move."""
+        value = (
+            (Point(3, -4), "p"),
+            Color.BLUE,
+            frozenset({1, "a", (2, 3)}),
+            {"k": (True, 1), 2: None},
+            True,
+            1,
+        )
+        assert fingerprint(value).hex() == "407bc6305af4a8e8bd88d7f5e9e463e0"
+        assert Codec().digest(value).hex() == "407bc6305af4a8e8bd88d7f5e9e463e0"
+
+
+def _define_shape(fields: int) -> type:
+    """A dataclass whose qualname is the same for every ``fields``."""
+    if fields == 2:
+
+        @dataclasses.dataclass(frozen=True)
+        class Shape:
+            x: int
+            y: int
+
+    else:
+
+        @dataclasses.dataclass(frozen=True)
+        class Shape:
+            x: int
+
+    return Shape
+
+
+def _dataclass_bytes(value, *fields) -> bytes:
+    """The documented dataclass layout, spelled out independently."""
+    return (
+        b"D"
+        + canonical_bytes(type(value).__qualname__)
+        + len(fields).to_bytes(4, "big")
+        + b"".join(canonical_bytes(field) for field in fields)
+    )
+
+
+class TestPlans:
+    """Per-type encode plans and cached field counts never change bytes."""
+
+    def test_first_encode_matches_later_encodes(self):
+        @dataclasses.dataclass(frozen=True)
+        class Fresh:
+            a: int
+            b: tuple
+
+        value = (Fresh(1, ("x",)), Fresh(2, ()))
+        try:
+            first = canonical_bytes(value)  # builds the plan
+            assert first == canonical_bytes(value) == Codec().encode(value)
+            assert first == (
+                b"t"
+                + (2).to_bytes(4, "big")
+                + _dataclass_bytes(value[0], 1, ("x",))
+                + _dataclass_bytes(value[1], 2, ())
+            )
+            assert decode_bytes(first) == value
+        finally:
+            _TYPE_REGISTRY.pop(Fresh.__qualname__, None)
+
+    def test_redefined_class_gets_its_own_plan(self):
+        old, new = _define_shape(2), _define_shape(1)
+        assert old.__qualname__ == new.__qualname__ and old is not new
+        try:
+            old_packed = canonical_bytes(old(1, 2))
+            assert decode_bytes(old_packed) == old(1, 2)  # caches old's count
+            _TYPE_REGISTRY.pop(old.__qualname__)
+            new_packed = canonical_bytes(new(1))
+            assert new_packed == _dataclass_bytes(new(1), 1)
+            assert registered_codec_types()[new.__qualname__] is new
+            assert decode_bytes(new_packed) == new(1)
+            with pytest.raises(CodecError, match="stale class version"):
+                decode_bytes(old_packed)
+        finally:
+            _TYPE_REGISTRY.pop(old.__qualname__, None)
 
 
 class TestCodecCache:

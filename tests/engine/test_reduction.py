@@ -18,8 +18,6 @@ from repro.engine import (
     audit_reduction,
     build_reduced_view,
     compare_reduction,
-    fingerprint,
-    fingerprint_components,
 )
 from repro.protocols import (
     delegation_consensus_system,
@@ -189,28 +187,6 @@ class TestFingerprintSupport:
         index.add(first)
         assert index.resolve(duplicate) is first
         assert index.resolve(("novel",)) == ("novel",)
-
-    def test_fingerprint_components_matches_fingerprint(self):
-        cache: dict = {}
-        states = [
-            (1, "a", frozenset({1, 2})),
-            (1, "a", frozenset({1, 2})),  # cache hit path
-            ((1, 2), {"k": (3,)}, None),
-            (),
-        ]
-        for state in states:
-            assert fingerprint_components(state, cache, 16) == fingerprint(state, 16)
-        assert fingerprint_components("scalar", cache) == fingerprint("scalar")
-
-    def test_fingerprint_components_bool_int_not_conflated(self):
-        """Regression: an ==-keyed cache made (1, ...) digest as (True, ...)
-        once the bool had been cached first (REVIEW: codec cache)."""
-        cache: dict = {}
-        states = [(True, "x"), (1, "x"), (1.0, "x"), ((False,), "y"), ((0,), "y")]
-        digests = [fingerprint_components(state, cache, 16) for state in states]
-        assert len(set(digests)) == len(states)
-        for state, digest in zip(states, digests):
-            assert digest == fingerprint(state, 16)
 
 
 class TestCli:

@@ -30,6 +30,7 @@ from repro.engine import (
     Budget,
     BudgetExhausted,
     CheckpointError,
+    CodecError,
     EngineError,
     ExplorationEngine,
     MemoryStore,
@@ -47,6 +48,7 @@ from repro.engine import (
     segment_dir,
 )
 from repro.engine.store import _SpillFrontier
+from repro.obs import MetricsRegistry
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
 BACKENDS = ("memory", "sqlite", "mmap")
@@ -90,6 +92,34 @@ def instances():
         ).explore(view, root)
         rows.append((name, view, root, graph))
     return rows
+
+
+class _Opaque:
+    """Hashable, but codec-hostile: it encodes through the repr fallback."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return f"_Opaque({self.value!r})"
+
+    def __eq__(self, other):
+        return isinstance(other, _Opaque) and other.value == self.value
+
+    def __hash__(self):
+        return hash(("_Opaque", self.value))
+
+
+class _OpaqueSuccessorView:
+    """A chain whose root encodes losslessly and whose successors do not."""
+
+    tasks = ("step",)
+
+    def successors(self, state):
+        depth = state[0]
+        if depth >= 3:
+            return []
+        return [("step", "tick", (depth + 1, _Opaque(depth + 1)))]
 
 
 @pytest.fixture()
@@ -425,6 +455,15 @@ class TestIdenticalGraph:
         assert payload["store_backend"] == "sqlite"
         assert payload["peak_rss_kb"] == report.peak_rss_kb
 
+    def test_scan_attributes_encode_time(self, small_instance):
+        view, root = small_instance
+        engine = ExplorationEngine(
+            workers=1, store="memory", metrics=MetricsRegistry()
+        )
+        phases = engine.scan(view, root).phase_seconds
+        assert phases["expand_seconds"] > 0
+        assert phases["fingerprint_seconds"] > 0
+
 
 class TestComposability:
     def test_refute_candidate_accepts_store(self, tmp_path):
@@ -463,6 +502,14 @@ class TestComposability:
     def test_audit_mode_rejects_store(self):
         with pytest.raises(ValueError, match="audit"):
             ExplorationEngine(store="memory", audit=True)
+
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_undecodable_successor_fails_loudly(self, backend, tmp_path):
+        """A successor the codec can only hash (repr fallback) must never
+        enter a store silently, even though the root encodes cleanly."""
+        engine = ExplorationEngine(workers=1, store=store_uri(backend, tmp_path))
+        with pytest.raises(CodecError, match="repr"):
+            engine.scan(_OpaqueSuccessorView(), (0, "start"))
 
     def test_store_instance_bound_to_one_root(self, small_instance, tmp_path):
         view, root = small_instance

@@ -124,11 +124,11 @@ def test_engine_scaling_and_equivalence():
     speedups = {}
     cache_rates = {}
     for workers in WORKER_COUNTS:
-        # fingerprints=True forces the FingerprintIndex path at workers=1
-        # too ("auto" would use full-state keys there), so the sequential
-        # hot path exercises the codec's component cache and the hit-rate
+        # store="memory" puts workers=1 on the digest path too (without
+        # a store it explores by full-state keys), so the sequential hot
+        # path exercises the codec's component cache and the hit-rate
         # assertion below is meaningful at every worker count.
-        engine = ExplorationEngine(workers=workers, budget=budget, fingerprints=True)
+        engine = ExplorationEngine(workers=workers, budget=budget, store="memory")
         metrics = MetricsRegistry()
         gc.collect()
         started = perf_counter()

@@ -9,8 +9,8 @@ nothing.  This benchmark pits the instrumented
 engine loop with every observability guard deleted, on an identical
 warmed view, and asserts the overhead bound.
 
-The baseline is the *engine's* sequential loop (state-keyed index,
-intern tables, budget check, graph build), not a bare BFS: `explore`
+The baseline is the *engine's* sequential loop (visited dict doubling
+as the intern table, budget check, graph build), not a bare BFS: `explore`
 delegates to :class:`repro.engine.ExplorationEngine`, so comparing
 against a minimal BFS would measure the engine's bookkeeping, not the
 instrumentation.  The only differences between the two contenders are
@@ -49,8 +49,6 @@ from time import perf_counter
 from conftest import report
 
 from repro.analysis import DeterministicSystemView, StateGraph, StateSet, explore
-from repro.engine import DIGEST_SIZE, fingerprint
-from repro.engine.fingerprint import StateIndex
 from repro.protocols import tob_delegation_system
 
 REPETITIONS = 9
@@ -59,13 +57,16 @@ RELATIVE_BOUND = 0.05
 ABSOLUTE_EPSILON_S = 0.002
 MAX_STATES = 200_000
 
+#: Marks a successor the visited dict has not seen.
+_NOVEL = object()
+
 
 class _BaselineRun:
     """Attribute-for-attribute stand-in for the engine's ``_Run``."""
 
     __slots__ = (
         "view",
-        "index",
+        "visited",
         "order",
         "edges",
         "frontier",
@@ -80,8 +81,8 @@ class _UninstrumentedEngine:
     """The engine's sequential path verbatim, minus every obs guard.
 
     A *structural* copy of ``ExplorationEngine._drive_sequential`` +
-    ``_commit`` for the default single-worker configuration (state-keyed
-    index, no prune, no checkpoints, no deadline): same per-state method
+    ``_commit`` for the default single-worker configuration (visited
+    dict, no prune, no checkpoints, no deadline): same per-state method
     calls, same attribute access through a slotted run object, same
     budget checks — only the tracer/metrics/progress branches are
     deleted.  The delta against :func:`repro.analysis.explore` is then
@@ -99,12 +100,10 @@ class _UninstrumentedEngine:
     def explore(self, view, root):
         run = _BaselineRun()
         run.view = view
-        run.index = StateIndex(DIGEST_SIZE)
         run.order = [root]
         run.edges = {}
-        run.frontier = deque(
-            [(root, run.index.add(root, fingerprint(root, DIGEST_SIZE)))]
-        )
+        run.frontier = deque([root])
+        run.visited = {root: root}
         run.action_intern = {}
         run.transitions = 0
         run.expanded = 0
@@ -116,45 +115,31 @@ class _UninstrumentedEngine:
 
     def _drive_sequential(self, run):
         while run.frontier:
-            state, digest = run.frontier.popleft()
-            self._commit(run, state, digest, run.view.successors(state), None)
+            state = run.frontier.popleft()
+            self._commit(run, state, run.view.successors(state))
             self._maybe_checkpoint(run)
 
-    def _commit(self, run, state, digest, out, succ_digests):
+    def _commit(self, run, state, out):
         if (
             self.max_transitions is not None
             and run.transitions + len(out) > self.max_transitions
         ):
             raise RuntimeError("budget")
-        resolve = getattr(run.index, "resolve", None)
+        visited = run.visited
         intern_action = run.action_intern
-        rebuilt = [] if resolve is not None else None
+        rows = []
         added = []
-        for position, (task, action, successor) in enumerate(out):
-            known, succ_digest = run.index.check(
-                successor, succ_digests[position] if succ_digests else None
-            )
-            if known:
-                if rebuilt is not None:
-                    rebuilt.append(
-                        (
-                            task,
-                            intern_action.setdefault(action, action),
-                            resolve(successor),
-                        )
-                    )
-                continue
-            if self.max_states is not None and len(run.index) >= self.max_states:
-                raise RuntimeError("budget")
-            succ_digest = run.index.add(successor, succ_digest)
-            run.order.append(successor)
-            added.append((successor, succ_digest))
-            if rebuilt is not None:
-                rebuilt.append(
-                    (task, intern_action.setdefault(action, action), successor)
-                )
+        for task, action, successor in out:
+            known = visited.get(successor, _NOVEL)
+            if known is _NOVEL:
+                if self.max_states is not None and len(visited) >= self.max_states:
+                    raise RuntimeError("budget")
+                visited[successor] = known = successor
+                run.order.append(successor)
+                added.append(successor)
+            rows.append((task, intern_action.setdefault(action, action), known))
         run.frontier.extend(added)
-        run.edges[state] = out if rebuilt is None else rebuilt
+        run.edges[state] = rows
         run.transitions += len(out)
         run.expanded += 1
         run.since_checkpoint += 1

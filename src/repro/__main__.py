@@ -599,7 +599,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_tenant_depth=args.max_tenant_depth,
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
-        checkpoint_interval=args.checkpoint_interval,
+        flush_interval=args.checkpoint_interval,
         runs_dir=args.runs_dir,
         metrics=MetricsRegistry(),
     )

@@ -71,6 +71,13 @@ class Verdict:
       ``f + 1`` failures never decide;
     * ``"similarity-contradiction"`` — Lemma 6/7 replay produced
       contradictory decisions (a safety-level break).
+
+    Not-refuted verdicts name why the pipeline stopped; one of them,
+    ``"hook-fault-task"``, means the hook involves a message-fault task
+    (:mod:`repro.sim.faults`).  Such a task acts on another endpoint's
+    in-flight message, which the paper's service model (per-endpoint
+    tasks, crash failures only) has no counterpart for, so a Lemma 8
+    claim can fail there; ``detail`` names the task and the claim.
     """
 
     refuted: bool
@@ -108,6 +115,12 @@ class Verdict:
                 None if self.refutation is None else self.refutation.to_json()
             ),
         }
+
+
+def _is_fault_task(task) -> bool:
+    """True for the message-fault tasks of :class:`~repro.sim.faults.FaultyNetwork`."""
+    name = task.name
+    return isinstance(name, tuple) and bool(name) and name[0] == "fault"
 
 
 def default_resilience(system: DistributedSystem) -> int:
@@ -296,7 +309,28 @@ def refute_candidate(
                 )
             )
         hook = outcome
-        report = lemma8_case_analysis(system, analysis, hook)
+        try:
+            report = lemma8_case_analysis(system, analysis, hook)
+        except AssertionError as failed:
+            fault = next(
+                (task for task in (hook.e, hook.e_prime) if _is_fault_task(task)),
+                None,
+            )
+            if fault is None:
+                raise
+            return done(
+                Verdict(
+                    refuted=False,
+                    mechanism="hook-fault-task",
+                    lemma4=lemma4,
+                    hook=hook,
+                    detail=(
+                        f"hook task {fault!r} is a message fault, outside the "
+                        "paper's service model, and Lemma 8 fails on it "
+                        f"({failed}); candidate not refuted"
+                    ),
+                )
+            )
         if report.violation is None:
             # Commutation cases cannot coexist with a genuine hook (the two
             # endpoint states would be equal, hence equal-valent); reaching

@@ -8,8 +8,8 @@ The engine is the scalable successor of
   fingerprint preimage and the wire/checkpoint format, with a verified
   decode path and component/string interning;
 * :mod:`repro.engine.fingerprint` — hash-seed-independent state digests
-  (``blake2b`` over the packed bytes); the visited set stores 8-16-byte
-  digests instead of full states, with an optional collision-audit mode;
+  (``blake2b`` over the packed bytes); the stores' visited sets key
+  8-16-byte digests instead of full states;
 * :mod:`repro.engine.visited`     — the lock-free shared-memory visited
   table (:class:`SharedVisitedTable`) forked workers consult before
   shipping successors back to the coordinator;
@@ -86,8 +86,6 @@ from .errors import (
 from .fingerprint import (
     DIGEST_SIZE,
     FingerprintCollision,
-    FingerprintIndex,
-    StateIndex,
     canonical_bytes,
     fingerprint,
     shard_of,
@@ -137,7 +135,6 @@ __all__ = [
     "ExplorationEngine",
     "FaultPlan",
     "FingerprintCollision",
-    "FingerprintIndex",
     "LocalVisitedFilter",
     "MemoryStore",
     "MmapStore",
@@ -149,7 +146,6 @@ __all__ = [
     "SQLiteStore",
     "Segment",
     "SharedVisitedTable",
-    "StateIndex",
     "StateQuarantined",
     "StateStore",
     "StoreConfig",

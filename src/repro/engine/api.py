@@ -17,7 +17,7 @@ sequential one, including discovery order**, at every worker count.
 Why: breadth-first search over a deterministic view is a pure function
 of the root once three choices are fixed — the expansion order of the
 frontier, the successor order within an expansion, and the dedup
-relation.  The engine fixes all three identically in both drivers:
+relation.  The engine fixes all three identically in every driver:
 
 * the frontier is FIFO, and the parallel driver *merges* worker results
   in exact frontier order (workers only precompute expansions; the
@@ -28,12 +28,15 @@ relation.  The engine fixes all three identically in both drivers:
 * dedup is "first discovery wins", applied in merge order.
 
 Parallelism therefore changes *where* ``successors()`` runs, never
-*what* the search sees.  The only caveat is dedup by digest (used by the
-parallel driver and opt-in sequentially): a fingerprint collision would
-merge two distinct states.  The default 16-byte digests make that
-probability ~``n^2/2^129``; collision-audit mode
-(:class:`~repro.engine.fingerprint.FingerprintIndex`) upgrades the
-guarantee to a checked one.  Interrupted runs may differ from a
+*what* the search sees.  The only caveat is dedup by digest, which every
+run uses except the in-RAM one (``workers=1``, no store, no audit): a
+fingerprint collision would merge two distinct states.  The default
+16-byte digests make that probability ~``n^2/2^129``; collision-audit
+mode (``audit=True``) upgrades the guarantee to a checked one — every
+visited hit compares the successor's packed bytes with the bytes the
+store already holds and raises
+:class:`~repro.engine.fingerprint.FingerprintCollision` on a mismatch,
+on every backend and worker count.  Interrupted runs may differ from a
 sequential interrupt in *which* prefix they explored, but resuming any
 checkpoint converges to the same completed graph.
 
@@ -92,7 +95,7 @@ from .checkpoint import (
 )
 from .codec import Codec, CodecError, digest_of_packed, repr_fallbacks
 from .errors import EngineError
-from .fingerprint import DIGEST_SIZE, FingerprintIndex, StateIndex
+from .fingerprint import DIGEST_SIZE, FingerprintCollision
 from .parallel import PRUNED, QUARANTINED, WorkerPool
 from .store import (
     StateStore,
@@ -117,6 +120,10 @@ STEP_CACHE_LIMIT = 20_000
 CODEC_CACHE_LIMIT = 100_000
 
 
+#: Marks a successor the in-RAM visited dict has not seen.
+_NOVEL = object()
+
+
 class _Exhausted(Exception):
     """Internal signal: a budget limit was hit (frontier already repaired)."""
 
@@ -137,12 +144,10 @@ class _Run:
         "tracing",
         "metrics",
         "codec",
-        "index",
+        "visited",
         "order",
         "edges",
         "frontier",
-        "packed_of",
-        "resumed_packed",
         "transitions",
         "expanded",
         "rounds",
@@ -156,7 +161,6 @@ class _Run:
         "phase",
         "orbit_hits",
         "pruned_tasks",
-        "quarantined",
         "pool",
         "store",
         "store_mode",
@@ -178,15 +182,14 @@ class _Run:
 
 
 class _StorePackedMap:
-    """``packed_of`` for store-backed parallel rounds.
+    """The worker pool's digest-to-packed-bytes table, backed by the store.
 
     The :class:`~repro.engine.parallel.WorkerPool` wire protocol reads
     and writes one digest-keyed mapping of canonical bytes; this adapter
     answers from the store for every discovered digest and stages the
     novel bytes worker replies deliver in ``pending`` until the merge
     loop commits them (or the round ends — uncommitted novel bytes are
-    recomputed on resume, exactly like the classic table's extras are
-    dropped with the process).
+    recomputed when a later round needs them).
     """
 
     __slots__ = ("store", "pending")
@@ -207,18 +210,12 @@ class _StorePackedMap:
             raise KeyError(digest)
         return packed
 
-    def __setitem__(self, digest: bytes, packed: bytes) -> None:
-        self.pending[digest] = packed
-
     def setdefault(self, digest: bytes, packed: bytes) -> bytes:
         existing = self.get(digest)
         if existing is not None:
             return existing
         self.pending[digest] = packed
         return packed
-
-    def __contains__(self, digest: bytes) -> bool:
-        return self.get(digest) is not None
 
 
 @dataclass(frozen=True)
@@ -258,8 +255,8 @@ class EngineReport:
     #: missing-bytes recovery).
     recovered_states: int = 0
     #: Which :mod:`~repro.engine.store` backend held the run's states —
-    #: ``"memory"`` covers both classic in-RAM runs and the explicit
-    #: memory backend.
+    #: ``"memory"`` covers in-RAM runs as well as engine-owned and
+    #: explicit memory stores.
     store_backend: str = "memory"
     #: Frontier digests that overflowed the in-memory window onto disk.
     spilled_states: int = 0
@@ -351,32 +348,32 @@ class ExplorationEngine:
         The :class:`Budget`; defaults to the explorer's historical
         ``Budget(max_states=200_000)``.
     store:
-        Where discovered states live: ``None`` (the default) keeps
-        today's in-RAM exploration; otherwise a
-        :mod:`~repro.engine.store` selector — a URI string
-        (``"memory"``, ``"sqlite:/path"``, ``"mmap:/path"``), a
-        :class:`~repro.engine.store.StoreConfig`, or a ready
-        :class:`~repro.engine.store.StateStore` instance (bound to
-        exactly one exploration).  With a store the engine runs
-        **digest-native**: decoded states are never retained, so RSS
-        stays bounded while the packed bytes stream to the backend, and
-        the produced graph is still identical to the classic one.  A
+        Where discovered states live: a :mod:`~repro.engine.store`
+        selector — a URI string (``"memory"``, ``"sqlite:/path"``,
+        ``"mmap:/path"``), a :class:`~repro.engine.store.StoreConfig`,
+        or a ready :class:`~repro.engine.store.StateStore` instance
+        (bound to exactly one exploration).  With a store the engine
+        runs **digest-native**: decoded states are never retained, so
+        RSS stays bounded while the packed bytes stream to the backend,
+        and the produced graph is still identical to the in-RAM one.  A
         configured path is namespaced per exploration by root digest,
-        so pipelines reuse one directory safely.
+        so pipelines reuse one directory safely.  ``None`` (the
+        default) explores in RAM by full-state equality at
+        ``workers=1`` without audit, and on an engine-owned
+        ``"memory"`` store otherwise.
     checkpoint_dir:
         When set, the engine snapshots its progress into this directory
         every ``flush_interval`` expansions and on budget exhaustion;
         snapshots are named by the root state's digest and deleted when
         their exploration completes.  Runs on a durable store write
         streaming *delta segments* (tiny counter + frontier files — the
-        states are already in the store); classic and memory-store runs
+        states are already in the store); in-RAM and memory-store runs
         write monolithic checkpoint files.
     flush_interval:
         Expansions between durable store flushes / checkpoint
         snapshots.  ``None`` defers to the store's configured
         :attr:`~repro.engine.store.StoreConfig.flush_interval` (50,000
-        without a store).  ``checkpoint_interval=`` is the deprecated
-        alias from the monolithic-snapshot era.
+        without a store).
     resume:
         When true (and ``checkpoint_dir`` holds a checkpoint for this
         root), continue from the snapshot instead of starting over.
@@ -389,14 +386,12 @@ class ExplorationEngine:
         Reporting only — enforcement belongs to the caller (the CLI's
         ``--rss-limit-mb`` installs a ``resource.setrlimit`` address
         -space cap before the run starts).
-    fingerprints:
-        ``"auto"`` (digests for parallel runs, full states
-        sequentially), or a bool to force either visited-set
-        representation.  Parallel runs always shard by digest.
     audit:
-        Collision-audit mode: keep full states per digest and raise
-        :class:`~repro.engine.fingerprint.FingerprintCollision` if two
-        unequal states ever hash alike.  Implies digest dedup.
+        Collision-audit mode: every time a successor's digest is
+        already visited, compare its packed bytes with the stored bytes
+        and raise :class:`~repro.engine.fingerprint.FingerprintCollision`
+        if they differ.  Works on every backend and worker count;
+        without a store it runs on an engine-owned memory store.
     max_worker_restarts:
         How many times a crashed worker slot is respawned (with
         exponential backoff) before its partitions are redistributed to
@@ -462,10 +457,8 @@ class ExplorationEngine:
         store: StateStore | StoreConfig | str | None = None,
         checkpoint_dir: str | Path | None = None,
         flush_interval: int | None = None,
-        checkpoint_interval: int | None = None,
         resume: bool = False,
         rss_limit_mb: int | None = None,
-        fingerprints: bool | str = "auto",
         audit: bool = False,
         digest_size: int = DIGEST_SIZE,
         tracer: Tracer = NULL_TRACER,
@@ -484,18 +477,11 @@ class ExplorationEngine:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = resolve_store(store)
-        flush_interval = resolve_flush_interval(
-            flush_interval, checkpoint_interval, store=self.store
-        )
+        flush_interval = resolve_flush_interval(flush_interval, store=self.store)
         if flush_interval < 1:
             raise ValueError("flush_interval must be >= 1")
         if rss_limit_mb is not None and rss_limit_mb < 1:
             raise ValueError(f"rss_limit_mb must be >= 1, got {rss_limit_mb}")
-        if audit and self.store is not None:
-            raise ValueError(
-                "audit mode keeps full states in RAM and is incompatible "
-                "with store=; run the collision audit without a store"
-            )
         if max_worker_restarts is None:
             max_worker_restarts = int(os.environ.get("REPRO_ENGINE_MAX_RESTARTS", "3"))
         if max_worker_restarts < 0:
@@ -512,14 +498,10 @@ class ExplorationEngine:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
         self.flush_interval = flush_interval
-        #: Deprecated alias of :attr:`flush_interval` (attribute reads
-        #: only; the constructor keyword warns).
-        self.checkpoint_interval = flush_interval
         self.rss_limit_mb = rss_limit_mb
         #: Root digest a caller-owned StateStore instance is bound to.
         self._store_bound: bytes | None = None
         self.resume = resume
-        self.fingerprints = fingerprints
         self.audit = audit
         self.digest_size = digest_size
         self.tracer = tracer
@@ -635,15 +617,12 @@ class ExplorationEngine:
         status = "ok"
         try:
             try:
-                if run.store_mode:
-                    if self.workers > 1:
-                        self._drive_store_parallel(run)
-                    else:
-                        self._drive_store_sequential(run)
-                elif self.workers > 1:
-                    self._drive_parallel(run)
-                else:
+                if not run.store_mode:
                     self._drive_sequential(run)
+                elif self.workers > 1:
+                    self._drive_store_parallel(run)
+                else:
+                    self._drive_store_sequential(run)
             except _Exhausted as signal:
                 status = "exhausted"
                 path = self._write_checkpoint(run)
@@ -690,15 +669,6 @@ class ExplorationEngine:
 
     # -- run setup ------------------------------------------------------------
 
-    def _make_index(self, codec: Codec):
-        if self.audit:
-            return FingerprintIndex(self.digest_size, audit=True, codec=codec)
-        if self.fingerprints is True or (
-            self.fingerprints == "auto" and self.workers > 1
-        ):
-            return FingerprintIndex(self.digest_size, codec=codec)
-        return StateIndex(self.digest_size)
-
     def _start_run(self, view, root, prune, tracer, metrics) -> _Run:
         run = _Run()
         run.view = view
@@ -709,9 +679,6 @@ class ExplorationEngine:
         run.tracer = tracer
         run.tracing = tracer.enabled
         run.metrics = metrics
-        run.index = self._make_index(run.codec)
-        run.packed_of = {run.root_digest: packed_root}
-        run.resumed_packed = None
         run.transitions = 0
         run.expanded = 0
         run.rounds = 0
@@ -719,11 +686,11 @@ class ExplorationEngine:
         run.resumed = False
         run.recovered = 0
         run.elapsed_prior = 0.0
+        # Action -> its first-seen object in RAM, or its slot on a store.
         run.action_intern = {}
         run.phase = {}
         run.orbit_hits = 0
         run.pruned_tasks = 0
-        run.quarantined = []
         run.pool = None
         run.store = None
         run.store_mode = False
@@ -732,60 +699,48 @@ class ExplorationEngine:
         run.segment_seq = 0
         run.last_flush_ms = None
         run.cache_published = (0, 0)
-        if self.store is not None:
+        if self.store is not None or self.workers > 1 or self.audit:
+            # Every run that deduplicates by digest runs on a store.
             self._start_run_external(run, packed_root, metrics)
-            run.started = time.monotonic()
-            run.deadline = Deadline(
-                self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
-            )
-            return run
-        checkpoint = self._load_resumable(run)
-        if checkpoint is not None:
-            run.order = checkpoint.order
-            run.edges = checkpoint.edges
-            run.frontier = deque((state, None) for state in checkpoint.frontier)
-            run.transitions = checkpoint.transitions
-            run.elapsed_prior = checkpoint.elapsed_seconds
-            run.resumed = True
-            run.resumed_packed = checkpoint.packed_order
-            if isinstance(run.index, StateIndex):
-                run.index.add_states(run.order)
-            elif run.resumed_packed is not None and not self.audit:
-                # A packed (v2) checkpoint restores the digest set from
-                # bytes alone — no state is re-encoded on resume.
-                run.index.add_digests(
-                    digest_of_packed(packed, self.digest_size)
-                    for packed in run.resumed_packed
-                )
-            else:
-                for state in run.order:
-                    run.index.add(state)
-            if metrics.enabled:
-                metrics.counter("engine.resumes").inc()
         else:
-            run.order = [root]
-            run.edges = {}
-            run.frontier = deque([(root, run.index.add(root, run.root_digest))])
+            self._start_run_inram(run, metrics)
         run.started = time.monotonic()
         run.deadline = Deadline(
             self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
         )
         return run
 
-    def _load_resumable(self, run: _Run) -> Checkpoint | None:
-        if not self.resume or self.checkpoint_dir is None:
-            return None
-        path = find_checkpoint(self.checkpoint_dir, run.root_digest)
-        if path is None:
-            return None
-        return load_checkpoint(path)
+    def _start_run_inram(self, run: _Run, metrics) -> None:
+        checkpoint = None
+        if self.resume and self.checkpoint_dir is not None:
+            path = find_checkpoint(self.checkpoint_dir, run.root_digest)
+            if path is not None:
+                checkpoint = load_checkpoint(path)
+        if checkpoint is None:
+            run.order = [run.root]
+            run.edges = {}
+            run.frontier = deque([run.root])
+        else:
+            run.order = checkpoint.order
+            run.edges = checkpoint.edges
+            run.frontier = deque(checkpoint.frontier)
+            run.transitions = checkpoint.transitions
+            run.elapsed_prior = checkpoint.elapsed_seconds
+            run.resumed = True
+            if metrics.enabled:
+                metrics.counter("engine.resumes").inc()
+        # The visited set maps each state to its first-seen object, so it
+        # doubles as the intern table _commit resolves successors through.
+        run.visited = {state: state for state in run.order}
 
     # -- store-backed runs ----------------------------------------------------
 
     def _open_store(self, root_digest: bytes) -> tuple[StateStore, bool]:
         """(store, engine-owned) for one exploration of ``root_digest``."""
         configured = self.store
-        if isinstance(configured, StateStore):
+        if configured is None:
+            configured = StoreConfig()
+        elif isinstance(configured, StateStore):
             if self._store_bound is not None and self._store_bound != root_digest:
                 raise EngineError(
                     "a StateStore instance serves exactly one exploration; "
@@ -962,7 +917,7 @@ class ExplorationEngine:
                 )
             if handle is not None and run.expanded % 256 == 0:
                 self._heartbeat(run)
-            state, digest = run.frontier.popleft()
+            state = run.frontier.popleft()
             if run.prune is not None and run.prune(state):
                 self._commit_pruned(run, state)
             elif timing:
@@ -971,175 +926,15 @@ class ExplorationEngine:
                 run.phase["expand_seconds"] = run.phase.get(
                     "expand_seconds", 0.0
                 ) + (time.perf_counter() - before)
-                self._commit(run, state, digest, out, None)
+                self._commit(run, state, out)
             else:
-                self._commit(run, state, digest, run.view.successors(state), None)
+                self._commit(run, state, run.view.successors(state))
             self._maybe_checkpoint(run)
-
-    def _drive_parallel(self, run: _Run) -> None:
-        budget = self.budget
-        pool = WorkerPool(
-            self.workers,
-            run.view,
-            run.prune,
-            self.digest_size,
-            self.audit,
-            expected_states=budget.max_states,
-            max_worker_restarts=self.max_worker_restarts,
-            restart_backoff_seconds=self.restart_backoff_seconds,
-            max_partition_retries=self.max_partition_retries,
-            max_state_retries=self.max_state_retries,
-            quarantine=self.quarantine,
-            fault_plan=self.fault_plan,
-            heartbeat_seconds=self.heartbeat_seconds,
-            tracer=run.tracer,
-            metrics=run.metrics,
-        ).start()
-        run.pool = pool
-        codec = run.codec
-        # Coordinator-side tables for the packed wire protocol.
-        # ``packed_of`` (digest -> canonical bytes) is the primary one:
-        # every digest in the index has an entry — seeded here from the
-        # root / the checkpoint, maintained from the novel lists in
-        # worker replies, consulted for bootstrap pairs and checkpoints.
-        # ``state_of`` (digest -> decoded state) is the coordinator's
-        # decode memo: each distinct state is decoded exactly once, at
-        # first discovery in the merge loop.
-        packed_of: dict = run.packed_of
-        state_of: dict = {run.root_digest: run.root}
-        if run.resumed:
-            if run.resumed_packed is not None:
-                for state, packed in zip(run.order, run.resumed_packed):
-                    digest = digest_of_packed(packed, self.digest_size)
-                    packed_of.setdefault(digest, packed)
-                    state_of.setdefault(digest, state)
-            else:
-                for state in run.order:
-                    packed, digest = codec.encode_digest(state)
-                    packed_of.setdefault(digest, packed)
-                    state_of.setdefault(digest, state)
-        if pool.visited is not None:
-            # Seed global membership so workers do not re-ship states the
-            # coordinator already holds (the root, a resumed graph).
-            for digest in packed_of:
-                pool.visited.add(digest)
-        tasks = run.view.tasks
-        intern_action = run.action_intern
-        cancel = self.cancel
-        try:
-            while run.frontier:
-                if cancel is not None and cancel():
-                    raise _Exhausted("cancelled", 0.0)
-                if run.deadline.expired():
-                    raise _Exhausted("deadline", budget.deadline_seconds)
-                items = []
-                for state, digest in run.frontier:
-                    if digest is None:
-                        digest = run.index.digest(state)
-                        state_of.setdefault(digest, state)
-                    items.append((state, digest))
-                run.frontier.clear()
-                round_span = start_span(
-                    run.tracer, "round", round=run.rounds + 1, states=len(items)
-                )
-                results = pool.run_round(
-                    run.rounds + 1,
-                    items,
-                    packed_of,
-                    run.phase,
-                    round_span_id=None if round_span is None else round_span.span_id,
-                )
-                # Merge in exact frontier order: this loop — not the
-                # workers — is where states are discovered, which is what
-                # keeps the graph identical to the sequential one.
-                merge_started = time.perf_counter()
-                position = 0
-                try:
-                    for position, (state, digest) in enumerate(items):
-                        result = results[position]
-                        if result == PRUNED:
-                            self._commit_pruned(run, state)
-                            continue
-                        if result == QUARANTINED:
-                            self._commit_quarantined(run, state)
-                            continue
-                        out = []
-                        digests = []
-                        if self.audit:
-                            # Audit rows carry packed bytes per edge, and
-                            # each is decoded on its own (never resolved
-                            # through the digest-keyed memo) so the
-                            # audited index still compares full *values*
-                            # and a digest collision cannot hide behind
-                            # the wire format.
-                            for task_index, action, succ_digest, succ_packed in result:
-                                out.append(
-                                    (
-                                        tasks[task_index],
-                                        intern_action.setdefault(action, action),
-                                        codec.decode(succ_packed),
-                                    )
-                                )
-                                digests.append(succ_digest)
-                        else:
-                            for task_index, action, succ_digest in result:
-                                succ = state_of.get(succ_digest)
-                                if succ is None:
-                                    packed = packed_of.get(succ_digest)
-                                    if packed is None:
-                                        packed = self._recover_packed(
-                                            run, state, succ_digest
-                                        )
-                                    succ = codec.decode(packed)
-                                    state_of[succ_digest] = succ
-                                out.append(
-                                    (
-                                        tasks[task_index],
-                                        intern_action.setdefault(action, action),
-                                        succ,
-                                    )
-                                )
-                                digests.append(succ_digest)
-                        self._commit(run, state, digest, out, digests)
-                except _Exhausted:
-                    # _commit repaired the frontier as [state, *partial-adds,
-                    # *earlier-discoveries]; slot the round's unmerged tail in
-                    # right after the offending state to preserve BFS order.
-                    state_entry = run.frontier.popleft()
-                    run.frontier.extendleft(reversed(items[position + 1 :]))
-                    run.frontier.appendleft(state_entry)
-                    end_span(run.tracer, round_span, status="exhausted")
-                    raise
-                finally:
-                    run.phase["merge_seconds"] = run.phase.get(
-                        "merge_seconds", 0.0
-                    ) + (time.perf_counter() - merge_started)
-                run.rounds += 1
-                if run.tracing:
-                    run.tracer.emit(
-                        WORKER_ROUND,
-                        round=run.rounds,
-                        expanded=len(items),
-                        shards=pool.last_round_producers,
-                        frontier=len(run.frontier),
-                    )
-                end_span(run.tracer, round_span, frontier=len(run.frontier))
-                if self.progress is not None:
-                    self.progress.update(
-                        states=len(run.order),
-                        frontier=len(run.frontier),
-                        workers=self.workers,
-                        elapsed=run.elapsed(),
-                        budget=budget,
-                    )
-                self._heartbeat(run)
-                self._maybe_checkpoint(run)
-        finally:
-            pool.stop()
 
     # -- store-backed (digest-native) drivers ---------------------------------
     #
-    # These mirror _drive_sequential/_drive_parallel with one structural
+    # Every run that deduplicates by digest (workers > 1, audit, or any
+    # store) runs here.  They mirror _drive_sequential with one structural
     # difference: the frontier, visited set, and edges live in the
     # StateStore keyed by digest, so RSS is bounded by a window instead
     # of the state count.  The sequential driver keeps the objects of
@@ -1240,7 +1035,7 @@ class ExplorationEngine:
             metrics=run.metrics,
         ).start()
         run.pool = pool
-        codec = run.codec
+        audit = self.audit
         # The wire protocol's packed_of table, backed by the store: the
         # store serves every already-discovered digest; novel bytes from
         # worker replies stage in an in-RAM overlay for the duration of
@@ -1250,6 +1045,7 @@ class ExplorationEngine:
         # filter, never truth, and re-seeding it with 10^7 digests would
         # cost more than the duplicate shipping it avoids.
         packed_of = _StorePackedMap(store)
+        pending = packed_of.pending
         cancel = self.cancel
         try:
             while store.frontier_len():
@@ -1262,7 +1058,7 @@ class ExplorationEngine:
                     digest = store.pop()
                     if digest is None:
                         break
-                    items.append((None, digest))
+                    items.append(digest)
                 round_span = start_span(
                     run.tracer, "round", round=run.rounds + 1, states=len(items)
                 )
@@ -1276,20 +1072,23 @@ class ExplorationEngine:
                 merge_started = time.perf_counter()
                 position = 0
                 try:
-                    for position, (_, digest) in enumerate(items):
+                    for position, digest in enumerate(items):
                         result = results[position]
-                        if result == PRUNED:
+                        if result == PRUNED or result == QUARANTINED:
                             self._commit_external_empty(run, digest)
                             continue
-                        if result == QUARANTINED:
-                            self._commit_external_empty(run, digest)
-                            run.quarantined.append(codec.decode(store.get(digest)))
+                        if audit:
+                            # Audit rows already carry every successor's
+                            # packed bytes, for the commit's byte check.
+                            self._commit_external(run, digest, result)
                             continue
+                        # A successor already in the store needs no bytes;
+                        # a novel one's came with a reply this round.
                         rows = []
                         for task_index, action, succ_digest in result:
-                            packed = packed_of.get(succ_digest)
-                            if packed is None:
-                                packed = self._recover_packed_external(
+                            packed = pending.get(succ_digest)
+                            if packed is None and succ_digest not in store:
+                                packed = self._recover_packed(
                                     run, digest, succ_digest, packed_of
                                 )
                             rows.append((task_index, action, succ_digest, packed))
@@ -1299,7 +1098,7 @@ class ExplorationEngine:
                     # the head; slot the round's unmerged tail right
                     # after it to preserve BFS order.
                     state_digest = store.pop()
-                    for _, tail_digest in reversed(items[position + 1 :]):
+                    for tail_digest in reversed(items[position + 1 :]):
                         store.push_front(tail_digest)
                     store.push_front(state_digest)
                     end_span(run.tracer, round_span, status="exhausted")
@@ -1347,26 +1146,32 @@ class ExplorationEngine:
     ) -> None:
         """The store-backed merge step: discover successors, log the expansion.
 
-        ``out`` rows are ``(task_slot, action, succ_digest, packed)``.
+        ``out`` rows are ``(task_slot, action, succ_digest, packed)``;
+        ``packed`` may be ``None`` for a successor already in the store,
+        except under audit.
         With a ``window`` (the sequential driver's decoded frontier),
         each novel successor's object — ``successors[i][2]`` for row
         ``i`` — is kept there too while it holds fewer than
         ``STEP_CACHE_LIMIT`` entries.
+        Under audit, a successor whose digest is already visited must
+        carry the stored bytes, or two distinct states share the digest
+        and :class:`FingerprintCollision` is raised.
         Budget breaches leave the identical checkpoint-consistent shape
-        the classic :meth:`_commit` documents: the offending state back
+        the in-RAM :meth:`_commit` documents: the offending state back
         at the frontier's head (expansion record withheld) with any
         successors discovered before the breach already in the store and
         queued behind it.
         """
         budget = self.budget
         store = run.store
+        audit = self.audit
         if (
             budget.max_transitions is not None
             and run.transitions + len(out) > budget.max_transitions
         ):
             store.push_front(digest)
             raise _Exhausted("transitions", budget.max_transitions)
-        intern_action = run.action_intern
+        action_slots = run.action_intern
         rows = []
         for position, (task_slot, action, succ_digest, packed) in enumerate(out):
             if succ_digest not in store:
@@ -1377,13 +1182,16 @@ class ExplorationEngine:
                 store.push(succ_digest)
                 if window is not None and len(window) < STEP_CACHE_LIMIT:
                     window[succ_digest] = successors[position][2]
-            rows.append(
-                (
-                    task_slot,
-                    store.action_slot(intern_action.setdefault(action, action)),
-                    succ_digest,
+            elif audit and store.get(succ_digest) != packed:
+                raise FingerprintCollision(
+                    f"digest {succ_digest.hex()} identifies two distinct "
+                    "states (their packed bytes differ); raise digest_size, "
+                    "or report this if it happened at the default width"
                 )
-            )
+            slot = action_slots.get(action)
+            if slot is None:
+                slot = action_slots[action] = store.action_slot(action)
+            rows.append((task_slot, slot, succ_digest))
         store.append_expansion(digest, rows)
         run.transitions += len(out)
         run.expanded += 1
@@ -1393,11 +1201,19 @@ class ExplorationEngine:
                 STATE_EXPLORED, edges=len(out), frontier=store.frontier_len()
             )
 
-    def _recover_packed_external(
+    def _recover_packed(
         self, run: _Run, parent_digest: bytes, digest: bytes, packed_of
     ) -> bytes:
-        """Store-mode twin of :meth:`_recover_packed`: re-derive lost bytes
-        by re-expanding the parent (decoded from the store) in-process."""
+        """Re-derive packed bytes a worker reply referenced but never shipped.
+
+        Two rare paths get here: the first inserter of ``digest`` into
+        the shared visited table died before its reply left (and no
+        retried chunk re-shipped it), or a torn table slot answered
+        "present" to a digest nobody holds.  Either way the parent is
+        already in the store and the view is deterministic, so
+        re-expanding it in-process reproduces the exact successor — the
+        identical-graph guarantee never rests on the table.
+        """
         parent = run.codec.decode(run.store.get(parent_digest))
         recovered = None
         for _task, _action, post in run.view.successors(parent):
@@ -1416,7 +1232,7 @@ class ExplorationEngine:
             run.metrics.counter("engine.recovered_states").inc()
         return recovered
 
-    # -- the single merge step ------------------------------------------------
+    # -- the in-RAM merge step -------------------------------------------------
 
     def _commit_pruned(self, run: _Run, state) -> None:
         run.edges[state] = []
@@ -1425,66 +1241,42 @@ class ExplorationEngine:
         if run.tracing:
             run.tracer.emit(STATE_EXPLORED, edges=0, pruned=True)
 
-    def _commit_quarantined(self, run: _Run, state) -> None:
-        # The state keeps its node but loses its outgoing edges — the
-        # documented breach of the identical-graph guarantee, surfaced
-        # via run.quarantined -> EngineReport (the pool already emitted
-        # the state_quarantined trace event at detection time).
-        run.edges[state] = []
-        run.expanded += 1
-        run.since_checkpoint += 1
-        run.quarantined.append(state)
-
-    def _commit(self, run: _Run, state, digest, out, succ_digests) -> None:
+    def _commit(self, run: _Run, state, out) -> None:
         """Discover ``out``'s successors and record the expansion.
 
-        On a budget breach the method leaves the run in the documented
-        checkpoint-consistent shape — the offending state is requeued at
-        the frontier's head (its edges entry withheld) with any
-        partially-added successors behind it — then signals the driver.
+        The visited dict doubles as an intern table: edges reference the
+        first-seen object per state (and per action), so the retained
+        graph holds one object per distinct value instead of one per
+        discovery.  On a budget breach the method leaves the run in the
+        documented checkpoint-consistent shape — the offending state is
+        requeued at the frontier's head (its edges entry withheld) with
+        any partially-added successors behind it — then signals the
+        driver.
         """
         budget = self.budget
         if (
             budget.max_transitions is not None
             and run.transitions + len(out) > budget.max_transitions
         ):
-            run.frontier.appendleft((state, digest))
+            run.frontier.appendleft(state)
             raise _Exhausted("transitions", budget.max_transitions)
-        # With a state-keyed index the visited set doubles as an intern
-        # table: edges reference the first-seen object per state (and per
-        # action), so the retained graph holds one object per distinct
-        # value instead of one per discovery.
-        resolve = getattr(run.index, "resolve", None)
+        visited = run.visited
         intern_action = run.action_intern
-        rebuilt = [] if resolve is not None else None
+        rows = []
         added = []
-        for position, (task, action, successor) in enumerate(out):
-            known, succ_digest = run.index.check(
-                successor, succ_digests[position] if succ_digests else None
-            )
-            if known:
-                if rebuilt is not None:
-                    rebuilt.append(
-                        (
-                            task,
-                            intern_action.setdefault(action, action),
-                            resolve(successor),
-                        )
-                    )
-                continue
-            if budget.max_states is not None and len(run.index) >= budget.max_states:
-                run.frontier.extend(added)
-                run.frontier.appendleft((state, digest))
-                raise _Exhausted("states", budget.max_states)
-            succ_digest = run.index.add(successor, succ_digest)
-            run.order.append(successor)
-            added.append((successor, succ_digest))
-            if rebuilt is not None:
-                rebuilt.append(
-                    (task, intern_action.setdefault(action, action), successor)
-                )
+        for task, action, successor in out:
+            known = visited.get(successor, _NOVEL)
+            if known is _NOVEL:
+                if budget.max_states is not None and len(visited) >= budget.max_states:
+                    run.frontier.extend(added)
+                    run.frontier.appendleft(state)
+                    raise _Exhausted("states", budget.max_states)
+                visited[successor] = known = successor
+                run.order.append(successor)
+                added.append(successor)
+            rows.append((task, intern_action.setdefault(action, action), known))
         run.frontier.extend(added)
-        run.edges[state] = out if rebuilt is None else rebuilt
+        run.edges[state] = rows
         run.transitions += len(out)
         run.expanded += 1
         run.since_checkpoint += 1
@@ -1492,37 +1284,6 @@ class ExplorationEngine:
             run.tracer.emit(
                 STATE_EXPLORED, edges=len(out), frontier=len(run.frontier)
             )
-
-    # -- missing-bytes recovery ----------------------------------------------
-
-    def _recover_packed(self, run: _Run, parent, digest: bytes) -> bytes:
-        """Re-derive packed bytes a worker reply referenced but never shipped.
-
-        Two rare paths get here: the first inserter of ``digest`` into
-        the shared visited table died before its reply left (and no
-        retried chunk re-shipped it), or a torn table slot answered
-        "present" to a digest nobody holds.  Either way the parent state
-        is already known and the view is deterministic, so recomputing
-        ``successors(parent)`` in-process reproduces the exact successor
-        — the identical-graph guarantee never rests on the table.
-        """
-        recovered = None
-        packed_of = run.packed_of
-        for _task, _action, post in run.view.successors(parent):
-            packed, post_digest = run.codec.encode_digest(post)
-            packed_of.setdefault(post_digest, packed)
-            if post_digest == digest:
-                recovered = packed
-        if recovered is None:
-            raise EngineError(
-                f"worker reply referenced digest {digest.hex()} that is not "
-                "a successor of its parent state; the exploration is "
-                "corrupt (please report this)"
-            )
-        run.recovered += 1
-        if run.metrics.enabled:
-            run.metrics.counter("engine.recovered_states").inc()
-        return recovered
 
     # -- run ledger heartbeats ------------------------------------------------
 
@@ -1652,8 +1413,8 @@ class ExplorationEngine:
         elif run.store_mode:
             # A memory store is not durable, so delta segments would
             # reference states that die with the process: snapshot
-            # monolithically (decoding through the store), exactly as a
-            # classic run would.
+            # monolithically (decoding through the store), exactly as an
+            # in-RAM run does.
             path = self._write_monolithic_from_store(run)
         else:
             path = save_checkpoint(
@@ -1663,7 +1424,7 @@ class ExplorationEngine:
                     root_digest=run.root_digest,
                     order=run.order,
                     edges=run.edges,
-                    frontier=[state for state, _ in run.frontier],
+                    frontier=list(run.frontier),
                     transitions=run.transitions,
                     elapsed_seconds=run.elapsed(),
                     digest_size=self.digest_size,
@@ -1754,13 +1515,7 @@ class ExplorationEngine:
                 else tuple(digest.hex() for _, digest in pool.quarantined)
             ),
             quarantined_states=(
-                tuple(run.quarantined)
-                if run.store_mode
-                else (
-                    ()
-                    if pool is None
-                    else tuple(state for state, _ in pool.quarantined)
-                )
+                () if pool is None else tuple(state for state, _ in pool.quarantined)
             ),
             worker_rss_kb=(
                 ()

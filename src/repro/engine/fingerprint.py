@@ -21,36 +21,35 @@ The encoding itself lives in :mod:`repro.engine.codec` — since the
 packed-bytes refactor it is the engine's *primary* state representation
 (shipped over worker pipes and stored in checkpoints), not just hash
 input, and the codec adds the decode path and interning caches.  This
-module keeps the digest-level API on top of it: :func:`fingerprint`,
-:func:`shard_of`, and the visited-set indexes.
+module keeps the digest-level API on top of it: :func:`fingerprint`
+and :func:`shard_of`.  The visited set itself is the state store's
+(:mod:`repro.engine.store`).
 
 Soundness: a digest collision would make the engine silently identify
 two distinct states (dropping one subtree of the graph).  With the
 default 16-byte BLAKE2b digest, the collision probability over an
 ``n``-state exploration is about ``n^2 / 2^129`` — below ``10^-28`` even
-at a billion states.  For certification-grade runs,
-:class:`FingerprintIndex` offers a **collision-audit mode** that
-additionally keeps the full state per digest and raises
-:class:`FingerprintCollision` the moment two unequal states hash alike,
-turning the probabilistic argument into a checked one (at the memory
-cost fingerprinting was meant to avoid — audit is a verification mode,
-not a production mode).
+at a billion states.  For certification-grade runs the engine's
+**collision-audit mode** (``ExplorationEngine(audit=True)``) compares
+the packed bytes of every successor whose digest is already visited
+with the stored bytes and raises :class:`FingerprintCollision` on a
+mismatch, turning the probabilistic argument into a checked one (at the
+cost of shipping packed bytes on every worker reply row).
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any
 
 from .codec import (  # noqa: F401  (canonical_bytes re-exported for compat)
     DIGEST_SIZE,
-    Codec,
     canonical_bytes,
     digest_of_packed,
 )
 
 
 class FingerprintCollision(RuntimeError):
-    """Two unequal states produced the same digest (audit mode only)."""
+    """Two distinct states produced the same digest (audit mode only)."""
 
 
 def fingerprint(value: Any, digest_size: int = DIGEST_SIZE) -> bytes:
@@ -61,126 +60,3 @@ def fingerprint(value: Any, digest_size: int = DIGEST_SIZE) -> bytes:
 def shard_of(digest: bytes, shards: int) -> int:
     """The worker shard owning ``digest`` (frontier partitioning)."""
     return int.from_bytes(digest[:8], "big") % shards
-
-
-# ---------------------------------------------------------------------------
-# The visited set
-# ---------------------------------------------------------------------------
-
-
-class FingerprintIndex:
-    """A digest-keyed visited set with an optional collision audit.
-
-    In normal mode only digests are retained; in ``audit`` mode the full
-    state is kept per digest and every membership hit is verified by
-    value equality, raising :class:`FingerprintCollision` on mismatch.
-
-    Digests are computed through a :class:`~repro.engine.codec.Codec`,
-    so the sequential fingerprinting path gets the same per-component
-    encode cache as the parallel workers: checking a successor that
-    shares most components with its parent re-encodes only the changed
-    components.  Pass a shared ``codec`` to pool the cache with other
-    participants in the same process (the engine shares one codec
-    between its index and its merge loop).
-    """
-
-    __slots__ = ("digest_size", "codec", "_digests", "_audit")
-
-    def __init__(
-        self,
-        digest_size: int = DIGEST_SIZE,
-        audit: bool = False,
-        codec: Codec | None = None,
-    ) -> None:
-        self.digest_size = digest_size
-        self.codec = codec if codec is not None else Codec(digest_size)
-        self._digests: set[bytes] = set()
-        self._audit: dict[bytes, Hashable] | None = {} if audit else None
-
-    @property
-    def audit(self) -> bool:
-        return self._audit is not None
-
-    def __len__(self) -> int:
-        return len(self._digests)
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._digests
-
-    def digest(self, state: Hashable) -> bytes:
-        """The digest of ``state`` under this index's width."""
-        return self.codec.digest(state)
-
-    def check(self, state: Hashable, digest: bytes | None = None) -> tuple[bool, bytes]:
-        """``(known, digest)`` for ``state``; audits collisions when on."""
-        if digest is None:
-            digest = self.codec.digest(state)
-        known = digest in self._digests
-        if known and self._audit is not None:
-            stored = self._audit[digest]
-            if stored != state:
-                raise FingerprintCollision(
-                    f"digest {digest.hex()} identifies two distinct states:\n"
-                    f"  {stored!r}\n  {state!r}\n"
-                    "(raise digest_size, or report if at the default width)"
-                )
-        return known, digest
-
-    def add(self, state: Hashable, digest: bytes | None = None) -> bytes:
-        """Record ``state`` as visited; returns its digest."""
-        if digest is None:
-            digest = self.codec.digest(state)
-        self._digests.add(digest)
-        if self._audit is not None:
-            self._audit[digest] = state
-        return digest
-
-    def add_digests(self, digests: Iterable[bytes]) -> None:
-        """Bulk-restore digests (checkpoint resume; audit table not kept)."""
-        self._digests.update(digests)
-
-
-class StateIndex:
-    """Exact visited set keyed by full states (the sequential default).
-
-    Same interface as :class:`FingerprintIndex`; dedupes by state
-    equality (no collision risk, no encoding cost) and computes digests
-    only on demand — the right trade for single-process exploration,
-    where the graph retains references to every state anyway.
-
-    The set is stored as a state-to-state mapping so it doubles as an
-    **interning table**: :meth:`resolve` maps any state equal to a
-    visited one onto the first-seen object, letting the engine store one
-    object per distinct state in the graph instead of one per discovery
-    (deep composite tuples arrive as fresh objects from every
-    expansion).
-    """
-
-    __slots__ = ("digest_size", "_states")
-
-    audit = False
-
-    def __init__(self, digest_size: int = DIGEST_SIZE) -> None:
-        self.digest_size = digest_size
-        self._states: dict[Hashable, Hashable] = {}
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def digest(self, state: Hashable) -> bytes:
-        return fingerprint(state, self.digest_size)
-
-    def check(self, state: Hashable, digest: bytes | None = None) -> tuple[bool, bytes | None]:
-        return state in self._states, digest
-
-    def add(self, state: Hashable, digest: bytes | None = None) -> bytes | None:
-        self._states[state] = state
-        return digest
-
-    def add_states(self, states: Iterable[Hashable]) -> None:
-        for state in states:
-            self._states[state] = state
-
-    def resolve(self, state: Hashable) -> Hashable:
-        """The interned object for ``state`` (``state`` itself if novel)."""
-        return self._states.get(state, state)

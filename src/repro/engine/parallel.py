@@ -37,6 +37,9 @@ either
   had the state (the root, a resumed frontier, or a successor first
   produced by another worker) — the worker decodes the packed bytes.
 
+A round's frontier is a list of digests only; the coordinator reads
+every bootstrap pair's bytes from its state store.
+
 Outbound messages are ``(entries, ship_all)`` pairs; ``ship_all`` is
 the crash-recovery flag described below.
 
@@ -55,8 +58,8 @@ metrics registry is enabled — a self-contained telemetry batch of span
 events and counters (see :mod:`repro.obs.spans`), ``None`` otherwise.
 In the engine's collision-audit mode every reply triple carries the
 successor's packed bytes as a fourth field so the coordinator can
-decode and compare *values* per row, trading the wire savings for the
-checked guarantee.
+compare them with the stored bytes of an already-visited digest,
+trading the wire savings for the checked guarantee.
 
 Replies are **batched**: a worker drains up to :data:`BATCH_REPLIES`
 queued chunks from its pipe before replying once with the list of
@@ -128,8 +131,8 @@ sacrificing the identical-graph guarantee:
 The shared table is a *filter*, never the source of truth: any residual
 case where a row references a digest whose packed bytes were lost with
 a worker (or a torn table slot answered "present" falsely) is repaired
-by the coordinator, which recomputes the successor from its parent
-in-process — see ``ExplorationEngine._recover_packed``.
+by the coordinator, which decodes the parent from its state store and
+re-expands it in-process — see ``ExplorationEngine._recover_packed``.
 
 Quarantining is the one deliberate breach of the identical-graph
 guarantee — a quarantined state keeps its node but loses its outgoing
@@ -582,7 +585,7 @@ class _Chunk:
     ``positions`` are absolute indices into the round's item list (the
     coordinator's results array is keyed by them, which is what makes
     re-dispatching to *any* worker sound); ``items`` are the matching
-    ``(state, digest)`` pairs; ``retries`` counts how many worker
+    frontier digests; ``retries`` counts how many worker
     losses this chunk has survived; ``ship_all`` marks a chunk requeued
     after a loss — its expander must ship every successor's bytes, since
     the dead worker may have claimed table slots and taken the bytes
@@ -646,7 +649,7 @@ class WorkerPool:
         self._digest_size = digest_size
         self._ship_states = ship_states
         self._expected_states = expected_states
-        self._codec = Codec(digest_size)  # encode fallback for dispatch
+        self._codec = Codec(digest_size)  # decodes quarantined states
         self.max_worker_restarts = max_worker_restarts
         self.restart_backoff_seconds = restart_backoff_seconds
         self.max_partition_retries = max_partition_retries
@@ -769,13 +772,14 @@ class WorkerPool:
     ) -> list:
         """Expand one round's frontier; returns results by item position.
 
-        ``items`` is the round's ``(state, digest)`` list in frontier
-        order; ``packed_of`` is the coordinator's digest-to-packed-bytes
-        table (novel successors are folded into it; bootstrap pairs are
-        drawn from it); ``phase`` accumulates per-phase timings.  Each
-        result slot is a row list of ``(task_index, action, digest[,
-        packed])`` tuples (actions decoded, packed bytes present in
-        audit mode), :data:`PRUNED`, or :data:`QUARANTINED`.
+        ``items`` is the round's digest list in frontier order;
+        ``packed_of`` is the coordinator's digest-to-packed-bytes table
+        (novel successors are folded into it; bootstrap pairs and
+        quarantined states are decoded from it); ``phase`` accumulates
+        per-phase timings.  Each result slot is a row list of
+        ``(task_index, action, digest[, packed])`` tuples (actions
+        decoded, packed bytes present in audit mode), :data:`PRUNED`, or
+        :data:`QUARANTINED`.
 
         ``round_span_id`` is the coordinator's open ``round`` span:
         merged worker spans (and the synthesized ``lost`` partition of a
@@ -828,8 +832,8 @@ class WorkerPool:
         # survivor up front (states re-ship via the encode-at-send path).
         workers = self.workers
         buckets: list[list] = [[] for _ in range(workers)]
-        for position, (state, digest) in enumerate(items):
-            buckets[shard_of(digest, workers)].append((position, state, digest))
+        for position, digest in enumerate(items):
+            buckets[shard_of(digest, workers)].append((position, digest))
         survivors = [w for w in range(workers) if self._alive[w]]
         for shard, bucket in enumerate(buckets):
             if not bucket:
@@ -839,14 +843,14 @@ class WorkerPool:
             positions: list = []
             chunk_items: list = []
             stateful = False
-            for position, state, digest in bucket:
+            for position, digest in bucket:
                 entry_stateful = digest not in seen
                 cap = CHUNK_STATES if (stateful or entry_stateful) else CHUNK_DIGESTS
                 if chunk_items and len(chunk_items) >= cap:
                     self._pending[worker].append(_Chunk(positions, chunk_items))
                     positions, chunk_items, stateful = [], [], False
                 positions.append(position)
-                chunk_items.append((state, digest))
+                chunk_items.append(digest)
                 stateful = stateful or entry_stateful
             if chunk_items:
                 self._pending[worker].append(_Chunk(positions, chunk_items))
@@ -933,27 +937,22 @@ class WorkerPool:
         # after a reassignment or respawn the same chunk may need its
         # states re-shipped, which deciding at build time would miss.
         # Bootstrap pairs carry packed bytes, pulled from the
-        # coordinator's table (encoding only as a fallback — every
-        # discovered digest normally has its bytes already).
+        # coordinator's table — the state store, which holds every
+        # frontier digest.
         seen = self.seen[worker]
         packed_of = self._packed_of
         entries: list = []
         fresh: list = []
-        for state, digest in chunk.items:
+        for digest in chunk.items:
             if digest in seen:
                 entries.append(digest)
             else:
                 packed = packed_of.get(digest)
                 if packed is None:
-                    if state is None:
-                        # Digest-only items (store-backed rounds) have no
-                        # state to fall back on: the store is the source
-                        # of truth and it must hold every frontier digest.
-                        raise EngineError(
-                            f"frontier digest {digest.hex()} has no packed "
-                            "bytes in the state store"
-                        )
-                    packed = packed_of[digest] = self._codec.encode(state)
+                    raise EngineError(
+                        f"frontier digest {digest.hex()} has no packed "
+                        "bytes in the state store"
+                    )
                 entries.append((digest, packed))
                 fresh.append(digest)
         return entries, bool(fresh), fresh
@@ -1013,7 +1012,6 @@ class WorkerPool:
                 out = []
                 for task_index, action_index, digest, packed in row:
                     seen.add(digest)
-                    packed_of.setdefault(digest, packed)
                     out.append((task_index, table[action_index], digest, packed))
                 transitions += len(out)
                 decoded.append(out)
@@ -1175,7 +1173,8 @@ class WorkerPool:
         self._revive_or_reassign(worker, requeue)
 
     def _quarantine(self, chunk: _Chunk) -> None:
-        state, digest = chunk.items[0]
+        digest = chunk.items[0]
+        state = self._codec.decode(self._packed_of[digest])
         if not self.quarantine:
             raise StateQuarantined(state, digest, chunk.retries)
         self.quarantined.append((state, digest))

@@ -63,7 +63,6 @@ import shutil
 import struct
 import tempfile
 import time
-import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, replace
@@ -505,12 +504,13 @@ class StateStore(ABC):
 
 
 class MemoryStore(StateStore):
-    """Plain in-RAM backend: today's behavior behind the store protocol.
+    """Plain in-RAM backend behind the store protocol.
 
-    Exists so the digest-native driver can be asserted identical against
-    the classic one (and against the disk backends) without any disk in
-    the loop; not durable, so checkpointing falls back to monolithic
-    snapshots.
+    The engine opens one for every digest-deduplicated run without a
+    configured store (``workers > 1`` or ``audit=True``), and tests use
+    it to assert the digest-native drivers identical to the in-RAM one
+    (and to the disk backends) without any disk in the loop; not
+    durable, so checkpointing falls back to monolithic snapshots.
     """
 
     durable = False
@@ -1270,7 +1270,8 @@ def open_store(
 def resolve_store(store) -> StoreConfig | StateStore | None:
     """Resolve the engine's ``store=`` argument (URI, config, instance).
 
-    Returns ``None`` (classic in-memory exploration), a
+    Returns ``None`` (the engine chooses: in-RAM exploration, or a
+    memory store it owns), a
     :class:`StoreConfig` the engine opens per exploration (namespaced by
     root digest), or a ready :class:`StateStore` instance the caller
     owns (bound to exactly one exploration).
@@ -1287,35 +1288,16 @@ def resolve_store(store) -> StoreConfig | StateStore | None:
 
 def resolve_flush_interval(
     flush_interval: int | None,
-    checkpoint_interval: int | None,
     *,
     store: StoreConfig | StateStore | None = None,
-    stacklevel: int = 3,
 ) -> int:
-    """Resolve ``flush_interval=`` / legacy ``checkpoint_interval=``.
+    """Resolve the engine's ``flush_interval=``.
 
-    The store redesign renamed the engine's snapshot cadence: one
-    ``flush_interval`` now governs both the delta-segment cadence of
-    disk-backed runs and the monolithic-snapshot cadence of classic
-    runs (and defaults from the store's own
-    :attr:`StoreConfig.flush_interval` when a store is configured).
-    ``checkpoint_interval=`` survives as a deprecated alias, mirroring
-    the :func:`~repro.engine.budget.resolve_budget` contract: both
-    given is a :class:`TypeError`; the alias warns exactly once per
-    call site.
+    One ``flush_interval`` governs both the delta-segment cadence of
+    disk-backed runs and the monolithic-snapshot cadence of in-RAM and
+    memory-store runs; it defaults from the store's own
+    :attr:`StoreConfig.flush_interval` when a store is configured.
     """
-    if flush_interval is not None and checkpoint_interval is not None:
-        raise TypeError(
-            "pass flush_interval= or the deprecated checkpoint_interval=, not both"
-        )
-    if checkpoint_interval is not None:
-        warnings.warn(
-            "checkpoint_interval= is deprecated; pass flush_interval= "
-            "(or a store with StoreConfig(flush_interval=...)) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return checkpoint_interval
     if flush_interval is not None:
         return flush_interval
     config = getattr(store, "config", store)

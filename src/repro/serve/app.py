@@ -98,7 +98,7 @@ class ServeConfig:
     quantum: int = 64
     tenant_rate: float = 5.0
     tenant_burst: float = 10.0
-    checkpoint_interval: int = 20_000
+    flush_interval: int = 20_000
     max_rss_limit_mb: int | None = None
     progress_interval_seconds: float = 0.2
     runs_dir: str | Path | None = None
@@ -249,7 +249,7 @@ class VerdictServer:
                     metrics=self.metrics,
                     tracer=self.tracer,
                     max_engine_workers=self.config.max_engine_workers,
-                    checkpoint_interval=self.config.checkpoint_interval,
+                    flush_interval=self.config.flush_interval,
                     max_rss_limit_mb=self.config.max_rss_limit_mb,
                     run=run,
                 ),

@@ -147,7 +147,7 @@ def execute_job(
     metrics: MetricsRegistry = NULL_METRICS,
     tracer: Tracer = NULL_TRACER,
     max_engine_workers: int = 1,
-    checkpoint_interval: int = 50_000,
+    flush_interval: int = 50_000,
     max_rss_limit_mb: int | None = None,
     run=None,
 ) -> JobOutcome:
@@ -180,9 +180,9 @@ def execute_job(
         engine = ExplorationEngine(
             workers=min(spec.workers, max_engine_workers),
             budget=spec.budget,
-            store=_job_store(spec, data_dir, job.key, checkpoint_interval),
+            store=_job_store(spec, data_dir, job.key, flush_interval),
             checkpoint_dir=checkpoint_dir,
-            flush_interval=checkpoint_interval,
+            flush_interval=flush_interval,
             resume=checkpoint_dir is not None,
             rss_limit_mb=rss_limit_mb,
             progress=JobProgressReporter(publish),

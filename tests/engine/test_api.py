@@ -20,7 +20,6 @@ from repro.engine import (
     Budget,
     BudgetExhausted,
     ExplorationEngine,
-    FingerprintIndex,
     find_checkpoint,
     fingerprint,
 )
@@ -49,12 +48,20 @@ class TestSequentialEquivalence:
         assert list(graph.states) == list(sequential_graph.states)
         assert graph.edges == sequential_graph.edges
 
-    def test_forced_fingerprints_agree(self, instance, sequential_graph):
+    def test_edges_reference_interned_states(self, instance):
+        """The in-RAM visited dict doubles as an intern table: every
+        edge's successor (and every edge source) is the first-seen
+        object of its state, not an equal copy from a later expansion."""
         view, root = instance
-        engine = ExplorationEngine(workers=1, budget=Budget(), fingerprints=True)
-        graph = engine.explore(view, root)
-        assert list(graph.states) == list(sequential_graph.states)
-        assert graph.edges == sequential_graph.edges
+        graph = ExplorationEngine(workers=1, budget=Budget()).explore(view, root)
+        first_seen = {}
+        for state in graph.states:
+            first_seen.setdefault(state, state)
+        assert len(first_seen) == len(graph.states)
+        for source, rows in graph.edges.items():
+            assert source is first_seen[source]
+            for _task, _action, successor in rows:
+                assert successor is first_seen[successor]
 
     def test_audit_mode_clean_run(self, instance, sequential_graph):
         view, root = instance

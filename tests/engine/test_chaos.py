@@ -204,12 +204,15 @@ class TestQuarantine:
     def test_quarantine_disabled_raises(self, instance):
         view, root = instance
         probe = ExplorationEngine(workers=2, budget=Budget())
-        plan, _ = self._poison_plan(instance, probe.digest_size)
+        plan, victim = self._poison_plan(instance, probe.digest_size)
         engine = ExplorationEngine(
             workers=2, budget=Budget(), fault_plan=plan, quarantine=False
         )
-        with pytest.raises(StateQuarantined):
+        with pytest.raises(StateQuarantined) as info:
             engine.explore(view, root)
+        # Rounds carry digests only; the pool decodes the state it names.
+        assert info.value.state == victim
+        assert info.value.digest == fingerprint(victim, engine.digest_size)
 
     def test_partition_retries_exhausted_raises(self, instance):
         # Poison (not a scheduled kill) so the fatal chunk is

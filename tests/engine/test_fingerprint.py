@@ -3,13 +3,11 @@
 import enum
 from dataclasses import dataclass
 
-import pytest
-
 from repro.engine import (
     DIGEST_SIZE,
-    FingerprintCollision,
-    FingerprintIndex,
-    StateIndex,
+    Codec,
+    MemoryStore,
+    StoreConfig,
     canonical_bytes,
     fingerprint,
     shard_of,
@@ -81,42 +79,17 @@ class TestFingerprint:
 
 
 class TestIndexes:
-    @pytest.mark.parametrize("index_cls", [FingerprintIndex, StateIndex])
-    def test_check_add_roundtrip(self, index_cls):
-        index = index_cls(DIGEST_SIZE)
-        known, digest = index.check("alpha", None)
-        assert not known
-        index.add("alpha", digest)
-        assert len(index) == 1
-        known, _ = index.check("alpha", None)
-        assert known
-
-    def test_audit_mode_detects_collisions(self):
-        index = FingerprintIndex(DIGEST_SIZE, audit=True)
-        digest = fingerprint("a")
-        index.add("a", digest)
-        with pytest.raises(FingerprintCollision):
-            index.check("b", digest)  # forged digest: same bytes, different state
-
-    def test_audit_mode_accepts_equal_states(self):
-        index = FingerprintIndex(DIGEST_SIZE, audit=True)
-        digest = fingerprint("a")
-        index.add("a", digest)
-        known, _ = index.check("a", digest)
-        assert known
-
     def test_index_distinguishes_bool_int_states(self):
         """Regression: the codec's shared component cache conflated
-        (True, ...) and (1, ...) into one digest whichever was checked
-        first, which audit mode then surfaced as a FingerprintCollision
-        (REVIEW: codec cache).  Both orders, one warm cache."""
+        (True, ...) and (1, ...) into one digest whichever was encoded
+        first, so a digest-keyed visited set merged the two states.
+        Both orders, one warm cache."""
         for states in [((True, "x"), (1, "x")), ((1, "x"), (True, "x"))]:
-            index = FingerprintIndex(DIGEST_SIZE, audit=True)
-            digests = set()
+            codec = Codec(DIGEST_SIZE)
+            store = MemoryStore(StoreConfig())
             for state in states:
-                known, digest = index.check(state, None)
-                assert not known
-                index.add(state, digest)
+                packed, digest = codec.encode_digest(state)
+                assert digest not in store
+                store.add(digest, packed)
                 assert digest == fingerprint(state, DIGEST_SIZE)
-                digests.add(digest)
-            assert len(digests) == 2
+            assert len(store) == 2

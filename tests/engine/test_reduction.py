@@ -3,8 +3,7 @@
 Covers the symmetry machinery (group/stabilizer computation, canonical
 representatives, refusal of unsound permutations on asymmetric wiring),
 the ample-set POR counters, the audit/compare helpers on instances small
-enough to explore both graphs, the supporting fingerprint changes, and
-the CLI flags.
+enough to explore both graphs, and the CLI flags.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.analysis import DeterministicSystemView, analyze_valence, find_hook
 from repro.engine import (
     Canonicalizer,
     ReductionConfig,
-    StateIndex,
     audit_reduction,
     build_reduced_view,
     compare_reduction,
@@ -176,17 +174,6 @@ class TestAnalysisIntegration:
         assert len(reduced.graph.states) < len(plain.graph.states)
         for state in plain.graph.states:
             assert reduced.valence(state) == plain.valence(state)
-
-
-class TestFingerprintSupport:
-    def test_state_index_resolve_interns(self):
-        index = StateIndex()
-        first = (1, ("a", frozenset({2})))
-        duplicate = (1, ("a", frozenset({2})))
-        assert first is not duplicate
-        index.add(first)
-        assert index.resolve(duplicate) is first
-        assert index.resolve(("novel",)) == ("novel",)
 
 
 class TestCli:

@@ -33,6 +33,7 @@ from repro.engine import (
     CodecError,
     EngineError,
     ExplorationEngine,
+    FingerprintCollision,
     MemoryStore,
     MmapStore,
     ReductionConfig,
@@ -499,9 +500,31 @@ class TestComposability:
         )
         assert verdict.refuted
 
-    def test_audit_mode_rejects_store(self):
-        with pytest.raises(ValueError, match="audit"):
-            ExplorationEngine(store="memory", audit=True)
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_audit_detects_digest_collisions(self, backend, workers, tmp_path):
+        """One-byte digests collide on delegation(3,1): without audit the
+        run silently merges distinct states; with audit every visited hit
+        compares packed bytes and the first mismatch raises."""
+        system = delegation_consensus_system(3, resilience=1)
+        view = DeterministicSystemView(system)
+        root = system.initialization({0: 0, 1: 1, 2: 0}).final_state
+        full = ExplorationEngine(workers=1).explore(view, root)
+        assert len(full.states) == 188
+        merged = ExplorationEngine(
+            workers=workers,
+            digest_size=1,
+            store=store_uri(backend, tmp_path, "-merged"),
+        ).scan(view, root)
+        assert merged.states < 188
+        audited = ExplorationEngine(
+            workers=workers,
+            digest_size=1,
+            audit=True,
+            store=store_uri(backend, tmp_path, "-audited"),
+        )
+        with pytest.raises(FingerprintCollision):
+            audited.explore(view, root)
 
     @pytest.mark.parametrize("backend", ("memory", "sqlite"))
     def test_undecodable_successor_fails_loudly(self, backend, tmp_path):

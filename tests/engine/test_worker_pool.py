@@ -17,7 +17,18 @@ orderings hard to provoke deterministically from outside.
 
 from collections import deque
 
+from repro.engine import Codec
 from repro.engine.parallel import ACK, CHUNK_STATES, QUARANTINED, WorkerPool, _Chunk
+
+_CODEC = Codec(16)
+
+
+def _digest(index):
+    return index.to_bytes(16, "big")
+
+
+def _state(index):
+    return ("state", index)
 
 
 class _StubConn:
@@ -70,7 +81,12 @@ def _pool(workers=2, **kwargs):
     pool._pending = [deque() for _ in range(workers)]
     pool._inflight = [deque() for _ in range(workers)]
     pool._outstanding = [0] * workers
-    pool._packed_of = {}
+    # Rounds carry digests only; the coordinator's table holds the
+    # packed bytes of every frontier digest.
+    pool._packed_of = {
+        _digest(index): _CODEC.encode(_state(index))
+        for index in range(2 * CHUNK_STATES + 1)
+    }
     pool._phase = {}
     pool._producers = set()
     pool._round = 1
@@ -79,8 +95,7 @@ def _pool(workers=2, **kwargs):
 
 
 def _singleton(position):
-    state = ("state", position)
-    return _Chunk([position], [(state, position.to_bytes(16, "big"))])
+    return _Chunk([position], [_digest(position)])
 
 
 class TestCrashBlame:
@@ -129,7 +144,7 @@ class TestCrashBlame:
         pool._results = [None] * 2
         pool._started[0] = 1  # victim in progress, trailing unread
         pool._worker_lost(0)
-        assert pool.quarantined == [victim.items[0]]
+        assert pool.quarantined == [(_state(0), victim.items[0])]
         assert pool._results[0] == QUARANTINED
         assert trailing.retries == 0
         assert list(pool._pending[1]) == [trailing]
@@ -162,8 +177,7 @@ class TestCrashBlame:
 
     def test_blamed_multistate_chunk_splits_into_singletons(self):
         pool = _pool()
-        states = [(("state", index), index.to_bytes(16, "big")) for index in range(3)]
-        multi = _Chunk([0, 1, 2], states)
+        multi = _Chunk([0, 1, 2], [_digest(index) for index in range(3)])
         pool._inflight[0].append(multi)
         pool._outstanding[0] = 1
         pool._results = [None] * 3
@@ -184,7 +198,7 @@ class TestSendTimeResplit:
         pool = _pool(workers=1)
         total = CHUNK_STATES + 44
         positions = list(range(total))
-        items = [(("state", index), index.to_bytes(16, "big")) for index in positions]
+        items = [_digest(index) for index in positions]
         pool._pending[0].append(_Chunk(positions, items))
         # seen[0] is empty — as after a respawn — so every entry ships
         # as a (digest, packed) bootstrap pair.
@@ -205,8 +219,8 @@ class TestSendTimeResplit:
         pool = _pool(workers=1)
         total = CHUNK_STATES + 44
         positions = list(range(total))
-        items = [(("state", index), index.to_bytes(16, "big")) for index in positions]
-        pool.seen[0].update(digest for _, digest in items)
+        items = [_digest(index) for index in positions]
+        pool.seen[0].update(items)
         pool._pending[0].append(_Chunk(positions, items))
         pool._pump(0)
         handle = pool._handles[0]
@@ -219,7 +233,7 @@ class TestSendTimeResplit:
         pool = _pool(workers=1)
         total = 2 * CHUNK_STATES + 1
         positions = list(range(total))
-        items = [(("state", index), index.to_bytes(16, "big")) for index in positions]
+        items = [_digest(index) for index in positions]
         pool._pending[0].append(_Chunk(positions, items, retries=2, ship_all=True))
         pool._pump(0)
         pieces = [pool._inflight[0][0], *pool._pending[0]]

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -34,6 +36,17 @@ class TestRefute:
         assert main(["refute", "last-writer"]) == 0
         out = capsys.readouterr().out
         assert "claim5.1b" in out
+
+    def test_arbiter_lossy_hook_on_fault_task_not_refuted(self, capsys):
+        """The hook search on arbiter-lossy(2,0) lands on a message-drop
+        task, which is outside the paper's model; Lemma 8 Claim 4.2-4
+        fails there, and the verdict says so instead of crashing."""
+        assert main(["refute", "arbiter-lossy", "-n", "2", "-f", "0", "--json"]) == 1
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["refuted"] is False
+        assert verdict["mechanism"] == "hook-fault-task"
+        assert "('fault', 'drop', 0, 2)" in verdict["detail"]
+        assert "Claim 4.2-4" in verdict["detail"]
 
     def test_unknown_candidate_rejected(self):
         with pytest.raises(SystemExit):

@@ -63,38 +63,19 @@ class TestResolveBudget:
 
 
 class TestResolveFlushInterval:
-    """The engine's ``checkpoint_interval=`` -> ``flush_interval=`` alias."""
+    """The engine's ``flush_interval=`` resolution."""
 
     def test_neither_returns_default(self):
         from repro.engine.store import DEFAULT_FLUSH_INTERVAL
 
-        assert resolve_flush_interval(None, None) == DEFAULT_FLUSH_INTERVAL
+        assert resolve_flush_interval(None) == DEFAULT_FLUSH_INTERVAL
 
     def test_flush_interval_passes_through(self):
-        assert resolve_flush_interval(123, None) == 123
+        assert resolve_flush_interval(123) == 123
 
     def test_store_config_supplies_default(self):
         config = StoreConfig(backend="memory", flush_interval=77)
-        assert resolve_flush_interval(None, None, store=config) == 77
-
-    def test_checkpoint_interval_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="flush_interval"):
-            assert resolve_flush_interval(None, 42) == 42
-
-    def test_both_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_flush_interval(10, 20)
-
-    def test_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="flush_interval"):
-            engine = ExplorationEngine(checkpoint_interval=42)
-        assert engine.flush_interval == 42
-        # The legacy attribute mirrors the resolved value.
-        assert engine.checkpoint_interval == 42
-
-    def test_engine_both_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            ExplorationEngine(flush_interval=10, checkpoint_interval=20)
+        assert resolve_flush_interval(None, store=config) == 77
 
     def test_engine_new_spelling_never_warns(self):
         with warnings.catch_warnings():
